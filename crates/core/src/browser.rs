@@ -46,8 +46,8 @@ const INGEST_GROUP_MAX: usize = 256;
 pub struct ProvenanceBrowser {
     engine: CaptureEngine,
     index: InvertedIndex,
-    /// Lazily rebuilt CSR snapshot of the graph, invalidated by the graph
-    /// epoch — relevance queries walk this instead of the live adjacency.
+    /// CSR snapshot of the graph, brought up to the graph's topology epoch
+    /// on read — relevance queries walk this instead of the live adjacency.
     frozen: FrozenHandle,
     /// Epoch-keyed converged-walk score cache shared by the ppr,
     /// personalize, and context query paths.
@@ -91,12 +91,14 @@ impl ProvenanceBrowser {
         policy: SyncPolicy,
         obs: Obs,
     ) -> CoreResult<Self> {
+        let frozen =
+            FrozenHandle::with_full_build_counter(obs.counter("bp_graph_frozen.full_builds"));
         let store = ProvenanceStore::open_with_obs(dir, policy, obs)?;
         let engine = CaptureEngine::new(store, config);
         let mut browser = ProvenanceBrowser {
             engine,
             index: InvertedIndex::new(),
-            frozen: FrozenHandle::new(),
+            frozen,
             score_cache: ScoreCache::new(),
         };
         // Rebuild the text index from the recovered graph.
@@ -226,20 +228,25 @@ impl ProvenanceBrowser {
         self.engine.store().graph()
     }
 
-    /// The current CSR read-snapshot of the graph, rebuilt when the graph
-    /// epoch has moved since the last call (any capture mutation bumps
-    /// it). Cheap when current: one mutex probe and an `Arc` clone.
+    /// The current CSR read-snapshot of the graph. When the graph's
+    /// topology epoch has moved since the last call (capture added nodes
+    /// or edges, or a redaction ran), the snapshot is refreshed from what
+    /// was appended, or rebuilt after a redaction. Interval closes and
+    /// attribute edits keep it current. Cheap when current: one mutex
+    /// probe and an `Arc` clone.
     pub fn frozen(&self) -> std::sync::Arc<FrozenGraph> {
         self.frozen.snapshot(self.engine.store().graph())
     }
 
-    /// `(rebuild count, last rebuild µs)` of the frozen snapshot handle.
+    /// `(update count, last update µs)` of the frozen snapshot handle,
+    /// counting refreshes and full builds alike. Full builds alone are
+    /// the `bp_graph_frozen.full_builds` counter.
     pub fn frozen_stats(&self) -> (u64, u64) {
         (self.frozen.builds(), self.frozen.last_build_us())
     }
 
     /// The epoch-keyed walk-score cache shared by the relevance query
-    /// paths. Entries self-invalidate when the graph epoch moves.
+    /// paths. Entries self-invalidate when the topology epoch moves.
     pub fn score_cache(&self) -> &ScoreCache {
         &self.score_cache
     }

@@ -520,16 +520,20 @@ impl CaptureEngine {
         }
 
         // Temporal overlap with other open tabs' current pages (§3.2),
-        // directed later → earlier to keep the DAG invariant.
+        // directed later → earlier to keep the DAG invariant. Targets are
+        // taken newest visit first (ties by tab id), never in the tab
+        // map's iteration order, so one event stream always captures the
+        // same graph.
         if self.config.record_temporal_overlap {
-            let others: Vec<NodeId> = self
+            let mut others: Vec<(NodeId, TabId)> = self
                 .tabs
                 .iter()
                 .filter(|(&id, _)| id != tab)
-                .filter_map(|(_, s)| s.current)
-                .take(self.config.max_overlap_edges)
+                .filter_map(|(&id, s)| Some((s.current?, id)))
                 .collect();
-            for other in others {
+            others.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            others.truncate(self.config.max_overlap_edges);
+            for (other, _) in others {
                 self.store
                     .add_edge(visit, other, EdgeKind::TemporalOverlap, at)?;
                 edges += 1;

@@ -7,24 +7,28 @@
 //! pointer-chasing for whole-graph walks. Relevance queries (personalized
 //! PageRank, neighborhood expansion) iterate every edge tens of times, so
 //! they run here instead, over a [`FrozenGraph`] — a compressed-sparse-row
-//! snapshot with dense `u32` indexing, contiguous forward/reverse edge
-//! arrays, and per-edge-kind bitsets for the automatic-edge filter.
+//! snapshot with dense `u32` indexing and one contiguous incidence row per
+//! node.
 //!
-//! Snapshots are invalidated by the graph **epoch**
-//! ([`ProvenanceGraph::epoch`]): every mutation bumps it, and a
-//! [`FrozenHandle`] rebuilds lazily on the first read at a newer epoch.
-//! Converged scores are memoized in a [`ScoreCache`] keyed by
-//! `(epoch, seed-set + config fingerprint)`, so serve's steady-state query
-//! thread stops recomputing identical walks — the cache can never serve
-//! stale results because a mutation changes the epoch half of every key.
+//! Snapshots are keyed on the graph's **topology epoch**
+//! ([`ProvenanceGraph::topology_epoch`]): node and edge insertion and
+//! redaction bump it, interval closes and attribute edits do not. A
+//! [`FrozenHandle`] brings its snapshot up to date lazily on the first read
+//! at a newer topology epoch — by appending what capture added since, or by
+//! a full rebuild after a redaction. Converged scores are memoized in a
+//! [`ScoreCache`] keyed by `(topology epoch, seed-set + config
+//! fingerprint)`, so serve's steady-state query thread stops recomputing
+//! identical walks — the cache can never serve stale results because a
+//! topology change moves the epoch half of every key.
 
-use crate::edge::EdgeKind;
+use crate::edge::{Edge, EdgeKind};
 use crate::graph::ProvenanceGraph;
-use crate::ids::NodeId;
+use crate::ids::{EdgeId, NodeId};
 use crate::neighborhood::ExpansionConfig;
 use crate::pagerank::{PageRankConfig, PageRankScores};
 use crate::traverse::Budget;
 use bp_obs::clock::ClockHandle;
+use bp_obs::Counter;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -39,19 +43,10 @@ const CHUNK: usize = 1024;
 /// Hard ceiling on kernel worker threads.
 const MAX_JOBS: usize = 64;
 
-#[inline]
-fn bit_get(bits: &[u64], i: usize) -> bool {
-    (bits[i >> 6] >> (i & 63)) & 1 == 1
-}
-
-#[inline]
-fn bit_set(bits: &mut [u64], i: usize) {
-    bits[i >> 6] |= 1 << (i & 63);
-}
-
-fn bitset_of(len: usize) -> Vec<u64> {
-    vec![0u64; len.div_ceil(64)]
-}
+/// Free slots reserved after each row a refresh appends. Most new nodes
+/// gain one to three in-edges later (the tab's next visit, a revisit's
+/// version edge, an overlap edge), which then land in place.
+const ROW_SLACK: usize = 2;
 
 /// Base walk weight of an edge kind: temporal-overlap edges participate
 /// at reduced conductance (they are association, not navigation).
@@ -64,45 +59,58 @@ fn base_weight(kind_code: u8) -> f64 {
     }
 }
 
-/// An immutable CSR snapshot of a [`ProvenanceGraph`] at one epoch.
+/// Whether an edge kind code is automatic (dropped by the walk when
+/// `include_automatic_edges` is off).
+fn is_automatic(kind_code: u8) -> bool {
+    EdgeKind::from_code(kind_code).is_some_and(EdgeKind::is_automatic)
+}
+
+/// The damping-free pull coefficient `w / conductance`.
+fn coeff(w: f64, cond: f64) -> f64 {
+    if cond > 0.0 {
+        w / cond
+    } else {
+        0.0
+    }
+}
+
+/// The edges `graph` holds beyond its first `first`, in insertion order
+/// (O(appended), where skipping an `edges()` iterator is O(all)).
+fn appended_edges(graph: &ProvenanceGraph, first: usize) -> impl Iterator<Item = &Edge> {
+    (first..graph.edge_count()).filter_map(|i| graph.edge(EdgeId::new(i as u32)).ok())
+}
+
+/// An immutable CSR snapshot of a [`ProvenanceGraph`] at one topology
+/// epoch.
 ///
-/// Forward rows mirror the live graph's out-adjacency (derivations,
-/// toward ancestors), reverse rows its in-adjacency (toward descendants);
-/// slot order within a row matches the live graph's insertion order.
-/// Relevance walks treat edges as undirected, so a node's incidence list
-/// is its forward row followed by its reverse row.
+/// Node `i`'s row holds one slot per incident edge: first its forward
+/// slots (out-edges, toward ancestors), then its reverse slots (in-edges,
+/// toward descendants), each part in the live graph's insertion order.
+/// Relevance walks treat edges as undirected, so the PageRank kernel, the
+/// expansion walk and the adjacency accessors all read these same rows.
+///
+/// A full build lays the rows out back to back in node order. A refresh
+/// ([`FrozenHandle::snapshot`]) appends rows for new nodes at the end and
+/// grows older rows in their reserved slack, moving a full row to the end
+/// when it has none; rows are therefore addressed by `row_start`/`row_end`
+/// and never by their neighbors' offsets.
+#[derive(Clone)]
 pub struct FrozenGraph {
     epoch: u64,
-    n: usize,
-    fwd_offsets: Vec<u32>,
-    fwd_targets: Vec<u32>,
-    fwd_kinds: Vec<u8>,
-    rev_offsets: Vec<u32>,
-    rev_targets: Vec<u32>,
-    rev_kinds: Vec<u8>,
-    /// One bitset per [`EdgeKind`] over forward slots.
-    kind_bits_fwd: Vec<Vec<u64>>,
-    /// One bitset per [`EdgeKind`] over reverse slots.
-    kind_bits_rev: Vec<Vec<u64>>,
-    /// OR of the automatic kinds' bitsets: the `include_automatic_edges`
-    /// filter is a single bit test per slot.
-    automatic_fwd: Vec<u64>,
-    automatic_rev: Vec<u64>,
-    /// Merged per-node incidence ("pull") rows: node `i`'s forward slots
-    /// followed by its reverse slots, contiguous. The PageRank kernel's
-    /// inner loop walks one row per node instead of two, which is what
-    /// lets it stripe the accumulation for instruction-level parallelism.
-    pull_offsets: Vec<u32>,
-    pull_targets: Vec<u32>,
-    /// Edge kind per pull slot. Folded into `pull_base` at build time;
-    /// retained so tests can audit the merged layout slot by slot.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pull_kinds: Vec<u8>,
-    /// OR of the automatic kinds over pull slots (mirrors
-    /// `automatic_fwd`/`automatic_rev` on the merged layout).
-    #[cfg_attr(not(test), allow(dead_code))]
-    automatic_pull: Vec<u64>,
-    /// Per pull slot, `w(kind) / conductance(target)` with every edge
+    /// Edges in the snapshot: each has one forward and one reverse slot.
+    edges: usize,
+    row_start: Vec<u32>,
+    row_end: Vec<u32>,
+    /// End of the slots reserved for row `i` (equal to `row_end[i]` after
+    /// a full build); a refresh fills `row_end[i]..row_cap[i]` in place.
+    row_cap: Vec<u32>,
+    /// Forward slots at the head of each row.
+    fwd_len: Vec<u32>,
+    /// Neighbor per slot.
+    targets: Vec<u32>,
+    /// [`EdgeKind`] code per slot.
+    kinds: Vec<u8>,
+    /// Per slot, `w(kind) / conductance(target)` with every edge
     /// participating — the damping-free part of the PageRank pull
     /// coefficient. Computed once per snapshot so each kernel run skips
     /// an O(E) pass of divisions.
@@ -117,12 +125,24 @@ pub struct FrozenGraph {
     key_rep: Vec<u32>,
 }
 
+/// What a refresh needs beyond the snapshot itself. It lives beside the
+/// snapshot in the [`FrozenHandle`], so copying a snapshot that readers
+/// still hold copies only what readers read.
+struct RefreshState {
+    /// Conductance per node with every edge participating.
+    cond_all: Vec<f64>,
+    /// Conductance per node over non-automatic edges only.
+    cond_noauto: Vec<f64>,
+    /// Lowest node id per key string: the `key_rep` of appended nodes.
+    first_of_key: HashMap<String, u32>,
+}
+
 impl std::fmt::Debug for FrozenGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrozenGraph")
             .field("epoch", &self.epoch)
-            .field("nodes", &self.n)
-            .field("edges", &self.fwd_targets.len())
+            .field("nodes", &self.node_count())
+            .field("edges", &self.edges)
             .finish()
     }
 }
@@ -130,170 +150,265 @@ impl std::fmt::Debug for FrozenGraph {
 impl FrozenGraph {
     /// Snapshots `graph` into CSR form. O(V + E).
     pub fn build(graph: &ProvenanceGraph) -> FrozenGraph {
+        Self::build_with_state(graph).0
+    }
+
+    fn build_with_state(graph: &ProvenanceGraph) -> (FrozenGraph, RefreshState) {
         let n = graph.node_count();
-        let m = graph.edge_count();
-        let mut fwd_offsets = Vec::with_capacity(n + 1);
-        let mut fwd_targets = Vec::with_capacity(m);
-        let mut fwd_kinds = Vec::with_capacity(m);
-        let mut rev_offsets = Vec::with_capacity(n + 1);
-        let mut rev_targets = Vec::with_capacity(m);
-        let mut rev_kinds = Vec::with_capacity(m);
-        let mut kind_bits_fwd: Vec<Vec<u64>> =
-            (0..EdgeKind::ALL.len()).map(|_| bitset_of(m)).collect();
-        let mut kind_bits_rev: Vec<Vec<u64>> =
-            (0..EdgeKind::ALL.len()).map(|_| bitset_of(m)).collect();
-        fwd_offsets.push(0);
-        rev_offsets.push(0);
+        let slots = 2 * graph.edge_count();
+        let mut f = FrozenGraph {
+            epoch: graph.topology_epoch(),
+            edges: 0,
+            row_start: Vec::with_capacity(n),
+            row_end: Vec::with_capacity(n),
+            row_cap: Vec::with_capacity(n),
+            fwd_len: Vec::with_capacity(n),
+            targets: Vec::with_capacity(slots),
+            kinds: Vec::with_capacity(slots),
+            pull_base: Vec::with_capacity(slots),
+            pull_base_noauto: Vec::with_capacity(slots),
+            key_rep: Vec::with_capacity(n),
+        };
+        let mut state = RefreshState {
+            cond_all: vec![0.0; n],
+            cond_noauto: vec![0.0; n],
+            first_of_key: HashMap::with_capacity(n),
+        };
         for id in graph.node_ids() {
-            for &eid in graph.out_edges(id) {
-                // Adjacency lists only hold committed edge ids; a
-                // dangling id would be a graph bug, and skipping it
-                // degrades to a snapshot missing that edge.
-                let Ok(e) = graph.edge(eid) else { continue };
-                let slot = fwd_targets.len();
-                bit_set(&mut kind_bits_fwd[e.kind().code() as usize], slot);
-                fwd_targets.push(e.dst().index());
-                fwd_kinds.push(e.kind().code());
-            }
-            fwd_offsets.push(fwd_targets.len() as u32);
-            for &eid in graph.in_edges(id) {
-                let Ok(e) = graph.edge(eid) else { continue };
-                let slot = rev_targets.len();
-                bit_set(&mut kind_bits_rev[e.kind().code() as usize], slot);
-                rev_targets.push(e.src().index());
-                rev_kinds.push(e.kind().code());
-            }
-            rev_offsets.push(rev_targets.len() as u32);
+            f.push_row(graph, id, 0);
         }
-        let mut automatic_fwd = bitset_of(fwd_targets.len());
-        let mut automatic_rev = bitset_of(rev_targets.len());
-        for kind in EdgeKind::ALL {
-            if !kind.is_automatic() {
-                continue;
-            }
-            let code = kind.code() as usize;
-            for (acc, bits) in automatic_fwd.iter_mut().zip(&kind_bits_fwd[code]) {
-                *acc |= bits;
-            }
-            for (acc, bits) in automatic_rev.iter_mut().zip(&kind_bits_rev[code]) {
-                *acc |= bits;
-            }
-        }
-        // Merged pull rows: each node's forward slots then reverse slots,
-        // in the same in-row order as the split arrays.
-        let total = fwd_targets.len() + rev_targets.len();
-        let mut pull_offsets = Vec::with_capacity(n + 1);
-        let mut pull_targets = Vec::with_capacity(total);
-        let mut pull_kinds = Vec::with_capacity(total);
-        let mut automatic_pull = bitset_of(total);
-        pull_offsets.push(0);
+        f.add_conductance(&mut state, 0);
         for i in 0..n {
-            for s in fwd_offsets[i] as usize..fwd_offsets[i + 1] as usize {
-                if bit_get(&automatic_fwd, s) {
-                    bit_set(&mut automatic_pull, pull_targets.len());
+            f.fill_coefficients(&state, i);
+        }
+        f.extend_key_reps(graph, &mut state);
+        (f, state)
+    }
+
+    /// Appends node `id`'s row (forward then reverse slots, from the live
+    /// adjacency) at the end of the slot arrays, with `slack` free slots
+    /// reserved after it. Coefficients are filled in later.
+    fn push_row(&mut self, graph: &ProvenanceGraph, id: NodeId, slack: usize) {
+        let start = self.targets.len();
+        for &eid in graph.out_edges(id) {
+            // Adjacency lists only hold committed edge ids; a dangling id
+            // would be a graph bug, and skipping it degrades to a
+            // snapshot missing that edge.
+            let Ok(e) = graph.edge(eid) else { continue };
+            self.push_slot(e.dst().index(), e.kind().code());
+        }
+        let fwd = self.targets.len() - start;
+        for &eid in graph.in_edges(id) {
+            let Ok(e) = graph.edge(eid) else { continue };
+            self.push_slot(e.src().index(), e.kind().code());
+        }
+        let end = self.targets.len();
+        self.pad(slack);
+        self.edges += fwd;
+        self.row_start.push(start as u32);
+        self.row_end.push(end as u32);
+        self.row_cap.push(self.targets.len() as u32);
+        self.fwd_len.push(fwd as u32);
+    }
+
+    fn push_slot(&mut self, target: u32, kind: u8) {
+        self.targets.push(target);
+        self.kinds.push(kind);
+        self.pull_base.push(0.0);
+        self.pull_base_noauto.push(0.0);
+    }
+
+    /// Appends `count` unused slots (reserved space no row range covers).
+    fn pad(&mut self, count: usize) {
+        let len = self.targets.len() + count;
+        self.targets.resize(len, 0);
+        self.kinds.resize(len, 0);
+        self.pull_base.resize(len, 0.0);
+        self.pull_base_noauto.resize(len, 0.0);
+    }
+
+    /// Adds every forward slot of nodes `from..` to the conductance of
+    /// both endpoints, in node then slot order. This is the order a full
+    /// build sums in, so when `from` is the old node count and every new
+    /// edge starts at a new node, the refreshed sums equal a full
+    /// build's bit for bit.
+    fn add_conductance(&self, state: &mut RefreshState, from: usize) {
+        for i in from..self.node_count() {
+            for s in self.fwd_range(i) {
+                let w = base_weight(self.kinds[s]);
+                let t = self.targets[s] as usize;
+                state.cond_all[i] += w;
+                state.cond_all[t] += w;
+                if !is_automatic(self.kinds[s]) {
+                    state.cond_noauto[i] += w;
+                    state.cond_noauto[t] += w;
                 }
-                pull_targets.push(fwd_targets[s]);
-                pull_kinds.push(fwd_kinds[s]);
             }
-            for s in rev_offsets[i] as usize..rev_offsets[i + 1] as usize {
-                if bit_get(&automatic_rev, s) {
-                    bit_set(&mut automatic_pull, pull_targets.len());
-                }
-                pull_targets.push(rev_targets[s]);
-                pull_kinds.push(rev_kinds[s]);
-            }
-            pull_offsets.push(pull_targets.len() as u32);
-        }
-        // Damping-free pull coefficients, one table per automatic-edge
-        // setting. Conductance counts each edge once (from its forward
-        // slot) into both endpoints, mirroring the undirected walk.
-        let mut cond_all = vec![0.0f64; n];
-        let mut cond_noauto = vec![0.0f64; n];
-        for i in 0..n {
-            for s in fwd_offsets[i] as usize..fwd_offsets[i + 1] as usize {
-                let w = base_weight(fwd_kinds[s]);
-                let t = fwd_targets[s] as usize;
-                cond_all[i] += w;
-                cond_all[t] += w;
-                if !bit_get(&automatic_fwd, s) {
-                    cond_noauto[i] += w;
-                    cond_noauto[t] += w;
-                }
-            }
-        }
-        let coeff = |w: f64, cond: f64| if cond > 0.0 { w / cond } else { 0.0 };
-        let mut pull_base = Vec::with_capacity(pull_targets.len());
-        let mut pull_base_noauto = Vec::with_capacity(pull_targets.len());
-        for (s, &k) in pull_kinds.iter().enumerate() {
-            let t = pull_targets[s] as usize;
-            let w = base_weight(k);
-            pull_base.push(coeff(w, cond_all[t]));
-            pull_base_noauto.push(if bit_get(&automatic_pull, s) {
-                0.0
-            } else {
-                coeff(w, cond_noauto[t])
-            });
-        }
-        // Key-dedup groups: one string hash per node at snapshot time
-        // buys hash-free dedup on every blend afterwards.
-        let mut key_rep = Vec::with_capacity(n);
-        let mut first_of_key: HashMap<&str, u32> = HashMap::with_capacity(n);
-        for id in graph.node_ids() {
-            let i = id.index();
-            match graph.node(id) {
-                Ok(node) => key_rep.push(*first_of_key.entry(node.key()).or_insert(i)),
-                Err(_) => key_rep.push(i),
-            }
-        }
-        FrozenGraph {
-            epoch: graph.epoch(),
-            n,
-            fwd_offsets,
-            fwd_targets,
-            fwd_kinds,
-            rev_offsets,
-            rev_targets,
-            rev_kinds,
-            kind_bits_fwd,
-            kind_bits_rev,
-            automatic_fwd,
-            automatic_rev,
-            pull_offsets,
-            pull_targets,
-            pull_kinds,
-            automatic_pull,
-            pull_base,
-            pull_base_noauto,
-            key_rep,
         }
     }
 
-    /// The graph epoch this snapshot was taken at.
+    /// Recomputes both coefficient tables over row `i` from the current
+    /// conductance sums.
+    fn fill_coefficients(&mut self, state: &RefreshState, i: usize) {
+        for s in self.row(i) {
+            let t = self.targets[s] as usize;
+            let k = self.kinds[s];
+            let w = base_weight(k);
+            self.pull_base[s] = coeff(w, state.cond_all[t]);
+            self.pull_base_noauto[s] = if is_automatic(k) {
+                0.0
+            } else {
+                coeff(w, state.cond_noauto[t])
+            };
+        }
+    }
+
+    /// Extends `key_rep` to every node of `graph`. One string hash per
+    /// new node buys hash-free dedup on every blend afterwards.
+    fn extend_key_reps(&mut self, graph: &ProvenanceGraph, state: &mut RefreshState) {
+        for i in self.key_rep.len()..self.node_count() {
+            let rep = match graph.node(NodeId::new(i as u32)) {
+                Ok(node) => *state
+                    .first_of_key
+                    .entry(node.key().to_owned())
+                    .or_insert(i as u32),
+                Err(_) => i as u32,
+            };
+            self.key_rep.push(rep);
+        }
+    }
+
+    /// `true` if `graph` differs from this snapshot only by appends that
+    /// [`refresh`](Self::refresh) can apply: no redaction since the
+    /// snapshot, and every new edge starting at a new node. Capture keeps
+    /// edges pointing newer → older, so the source of an appended edge is
+    /// in practice always the node the same event created.
+    fn refreshable_to(&self, graph: &ProvenanceGraph) -> bool {
+        let n0 = self.node_count();
+        graph.rewrite_epoch() <= self.epoch
+            && graph.node_count() >= n0
+            && graph.edge_count() >= self.edges
+            && appended_edges(graph, self.edges).all(|e| e.src().as_usize() >= n0)
+    }
+
+    /// Brings the snapshot to `graph`'s topology epoch by applying what
+    /// was appended since; the caller has checked
+    /// [`refreshable_to`](Self::refreshable_to). The result equals
+    /// `FrozenGraph::build(graph)` in every row, coefficient and key
+    /// representative.
+    fn refresh(&mut self, graph: &ProvenanceGraph, state: &mut RefreshState) {
+        let (n0, m0) = (self.node_count(), self.edges);
+        let n = graph.node_count();
+        // 1. Rows of the new nodes. Their out-edges are all new, and any
+        //    in-edge comes from a newer new node, so the live adjacency
+        //    gives the whole row.
+        for i in n0..n {
+            self.push_row(graph, NodeId::new(i as u32), ROW_SLACK);
+        }
+        // 2. Each new edge into an older node: a reverse slot at the end
+        //    of the destination's row, in edge order — the live in-edge
+        //    order.
+        for e in appended_edges(graph, m0) {
+            let dst = e.dst().as_usize();
+            if dst < n0 {
+                self.append_slot(dst, e.src().index(), e.kind().code());
+            }
+        }
+        // 3. The new edges' weights, summed after the old ones.
+        state.cond_all.resize(n, 0.0);
+        state.cond_noauto.resize(n, 0.0);
+        self.add_conductance(state, n0);
+        // 4. Conductance moved for the new nodes and every row they
+        //    point into; every slot targeting one of those lives in a row
+        //    of its neighbors.
+        let mut dirty: Vec<u32> = Vec::new();
+        for i in n0..n {
+            dirty.push(i as u32);
+            for s in self.row(i) {
+                let t = self.targets[s];
+                dirty.push(t);
+                dirty.extend(self.row(t as usize).map(|r| self.targets[r]));
+            }
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &i in &dirty {
+            self.fill_coefficients(state, i as usize);
+        }
+        // 5. Key representatives of the new nodes.
+        self.extend_key_reps(graph, state);
+        self.epoch = graph.topology_epoch();
+    }
+
+    /// Appends one slot at the end of row `r`: into its reserved slack if
+    /// any is left, by growing the arrays if the row ends them, and
+    /// otherwise by moving the row to the end with as much slack again as
+    /// it has slots, so repeated appends to a row cost amortized O(1).
+    fn append_slot(&mut self, r: usize, target: u32, kind: u8) {
+        let (start, end) = (self.row_start[r] as usize, self.row_end[r] as usize);
+        if end == self.row_cap[r] as usize {
+            let len = end - start;
+            let grow = len.max(ROW_SLACK);
+            if end == self.targets.len() {
+                self.pad(grow);
+            } else {
+                let new_start = self.targets.len();
+                self.targets.extend_from_within(start..end);
+                self.kinds.extend_from_within(start..end);
+                self.pull_base.extend_from_within(start..end);
+                self.pull_base_noauto.extend_from_within(start..end);
+                self.pad(grow);
+                self.row_start[r] = new_start as u32;
+                self.row_end[r] = (new_start + len) as u32;
+            }
+            self.row_cap[r] = self.targets.len() as u32;
+        }
+        let s = self.row_end[r] as usize;
+        self.targets[s] = target;
+        self.kinds[s] = kind;
+        self.row_end[r] += 1;
+    }
+
+    /// The topology epoch ([`ProvenanceGraph::topology_epoch`]) this
+    /// snapshot was taken at.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.row_start.len()
     }
 
     /// Number of edges (each edge has one forward and one reverse slot).
     pub fn edge_count(&self) -> usize {
-        self.fwd_targets.len()
+        self.edges
+    }
+
+    /// Node `node`'s slots: forward, then reverse.
+    fn row(&self, node: usize) -> std::ops::Range<usize> {
+        self.row_start[node] as usize..self.row_end[node] as usize
     }
 
     fn fwd_range(&self, node: usize) -> std::ops::Range<usize> {
-        self.fwd_offsets[node] as usize..self.fwd_offsets[node + 1] as usize
+        let start = self.row_start[node] as usize;
+        start..start + self.fwd_len[node] as usize
     }
 
     fn rev_range(&self, node: usize) -> std::ops::Range<usize> {
-        self.rev_offsets[node] as usize..self.rev_offsets[node + 1] as usize
+        self.row_start[node] as usize + self.fwd_len[node] as usize..self.row_end[node] as usize
     }
 
-    #[cfg(test)]
-    fn pull_range(&self, node: usize) -> std::ops::Range<usize> {
-        self.pull_offsets[node] as usize..self.pull_offsets[node + 1] as usize
+    /// `(neighbor, kind)` for each slot in `range`.
+    fn slots(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
+        range.map(move |s| {
+            (
+                self.targets[s],
+                // Kind codes were written from EdgeKind::code, so this
+                // lookup cannot miss; Link is a harmless degrade.
+                EdgeKind::from_code(self.kinds[s]).unwrap_or(EdgeKind::Link),
+            )
+        })
     }
 
     /// The key-dedup table: `key_reps()[i]` is the lowest node id sharing
@@ -306,54 +421,21 @@ impl FrozenGraph {
     /// Forward (out) adjacency of `node`: `(target, kind)` in insertion
     /// order — the same order the live graph's out-edge list yields.
     pub fn out_edges_of(&self, node: u32) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
-        self.fwd_range(node as usize).map(move |s| {
-            (
-                self.fwd_targets[s],
-                // Kind codes were written from EdgeKind::code, so this
-                // lookup cannot miss; Link is a harmless degrade.
-                EdgeKind::from_code(self.fwd_kinds[s]).unwrap_or(EdgeKind::Link),
-            )
-        })
+        self.slots(self.fwd_range(node as usize))
     }
 
     /// Reverse (in) adjacency of `node`: `(source, kind)` in insertion
     /// order.
     pub fn in_edges_of(&self, node: u32) -> impl Iterator<Item = (u32, EdgeKind)> + '_ {
-        self.rev_range(node as usize).map(move |s| {
-            (
-                self.rev_targets[s],
-                EdgeKind::from_code(self.rev_kinds[s]).unwrap_or(EdgeKind::Link),
-            )
-        })
+        self.slots(self.rev_range(node as usize))
     }
 
-    /// Number of edges of `kind`, from the per-kind forward bitset.
+    /// Number of edges of `kind`, counted over forward slots.
     pub fn kind_count(&self, kind: EdgeKind) -> usize {
-        self.kind_bits_fwd[kind.code() as usize]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Number of reverse slots of `kind` — always equals
-    /// [`FrozenGraph::kind_count`], since every edge appears once in each
-    /// direction.
-    pub fn kind_count_rev(&self, kind: EdgeKind) -> usize {
-        self.kind_bits_rev[kind.code() as usize]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// `true` if the forward slot's edge kind is automatic, from the
-    /// combined automatic bitset.
-    pub fn fwd_slot_is_automatic(&self, slot: usize) -> bool {
-        bit_get(&self.automatic_fwd, slot)
-    }
-
-    /// `true` if the reverse slot's edge kind is automatic.
-    pub fn rev_slot_is_automatic(&self, slot: usize) -> bool {
-        bit_get(&self.automatic_rev, slot)
+        (0..self.node_count())
+            .flat_map(|i| self.fwd_range(i))
+            .filter(|&s| self.kinds[s] == kind.code())
+            .count()
     }
 }
 
@@ -398,8 +480,8 @@ impl FrozenScores {
 struct KernelState<'a> {
     frozen: &'a FrozenGraph,
     restart: Vec<f64>,
-    /// Damping-free pull coefficient per merged pull slot, borrowed from
-    /// the snapshot: `w(kind) / cond(target)`.
+    /// Damping-free pull coefficient per slot, borrowed from the
+    /// snapshot: `w(kind) / cond(target)`.
     pull_base: &'a [f64],
     damping: f64,
     tolerance: f64,
@@ -422,7 +504,7 @@ impl KernelState<'_> {
     /// chunk-index order, so every worker computes bit-identical `slack`
     /// and `delta` and takes the same branch every iteration.
     fn worker(&self) -> (usize, usize, bool) {
-        let n = self.frozen.n;
+        let n = self.frozen.node_count();
         let mut parity = 0usize;
         let mut iterations = 0usize;
         loop {
@@ -437,9 +519,10 @@ impl KernelState<'_> {
                 let lo = c * CHUNK;
                 let hi = (lo + CHUNK).min(n);
                 let mut chunk_sum = 0.0f64;
-                let targets = &self.frozen.pull_targets[..];
+                let targets = &self.frozen.targets[..];
                 let weights = self.pull_base;
-                let offsets = &self.frozen.pull_offsets[..];
+                let starts = &self.frozen.row_start[..];
+                let ends = &self.frozen.row_end[..];
                 for i in lo..hi {
                     // Rows average only a handful of slots, so the loop is
                     // overhead-bound: one zip over the row's slices keeps
@@ -448,7 +531,7 @@ impl KernelState<'_> {
                     // once per node rather than per slot. Accumulation
                     // order is the fixed slot order — bit-identical at any
                     // worker count.
-                    let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
+                    let (start, end) = (starts[i] as usize, ends[i] as usize);
                     let mut acc = 0.0f64;
                     for (&t, &w) in targets[start..end].iter().zip(&weights[start..end]) {
                         acc += w * f64::from_bits(cur[t as usize].load(Ordering::Relaxed));
@@ -521,7 +604,7 @@ impl KernelState<'_> {
 /// The math matches [`crate::pagerank::personalized_pagerank`]: undirected
 /// walks, temporal-overlap edges at 0.4 conductance, automatic edges
 /// droppable via `config.include_automatic_edges` (applied through the
-/// snapshot's per-kind bitsets), restart mass `1 − damping` plus whatever
+/// snapshot's second coefficient table), restart mass `1 − damping` plus whatever
 /// strands on degree-0 nodes, L1 convergence. `budget.deadline()` is
 /// honored at iteration boundaries: an expired deadline returns the
 /// partially-converged scores with `truncated` set rather than blocking
@@ -536,7 +619,7 @@ pub fn personalized_pagerank_frozen(
     config: &PageRankConfig,
     budget: &Budget,
 ) -> FrozenScores {
-    let n = frozen.n;
+    let n = frozen.node_count();
     let mut restart = vec![0.0f64; n];
     let mut total = 0.0;
     for &(node, w) in seeds {
@@ -671,7 +754,7 @@ pub fn expand_frozen(
     config: &ExpansionConfig,
     budget: &Budget,
 ) -> FrozenExpansion {
-    let n = frozen.n;
+    let n = frozen.node_count();
     let clock = budget.deadline().map(|d| {
         let handle = budget.clock().cloned().unwrap_or_else(ClockHandle::real);
         (handle.start(), d)
@@ -714,26 +797,12 @@ pub fn expand_frozen(
                 }
             }
             let spread_base = w * config.decay;
-            for s in frozen.fwd_range(node as usize) {
-                let nbr = frozen.fwd_targets[s];
+            for s in frozen.row(node as usize) {
+                let nbr = frozen.targets[s];
                 if reached[nbr as usize] {
                     continue; // layered: no echo back to reached nodes
                 }
-                let spread = spread_base * kind_weight[frozen.fwd_kinds[s] as usize];
-                if spread < config.min_weight {
-                    continue;
-                }
-                if next_weight[nbr as usize] == 0.0 {
-                    touched.push(nbr);
-                }
-                next_weight[nbr as usize] += spread;
-            }
-            for s in frozen.rev_range(node as usize) {
-                let nbr = frozen.rev_targets[s];
-                if reached[nbr as usize] {
-                    continue;
-                }
-                let spread = spread_base * kind_weight[frozen.rev_kinds[s] as usize];
+                let spread = spread_base * kind_weight[frozen.kinds[s] as usize];
                 if spread < config.min_weight {
                     continue;
                 }
@@ -804,12 +873,15 @@ pub enum CacheDomain {
     Expansion,
 }
 
-/// A cache key: graph epoch + query domain + seed/config fingerprint.
-/// Mutations bump the epoch, so stale entries can never be returned —
-/// they simply stop matching and are purged on the next insert.
+/// A cache key: topology epoch + query domain + seed/config fingerprint.
+/// Topology mutations bump the epoch, so stale entries can never be
+/// returned — they simply stop matching and are purged on the next
+/// insert. Scores depend on nodes and edges only, so interval closes and
+/// attribute edits leave every entry valid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// [`ProvenanceGraph::epoch`] at compute time.
+    /// [`ProvenanceGraph::topology_epoch`] at compute time (the
+    /// snapshot's [`FrozenGraph::epoch`]).
     pub epoch: u64,
     /// Query family.
     pub domain: CacheDomain,
@@ -1075,21 +1147,36 @@ pub fn fingerprint_expansion(
 // Snapshot handle
 // ---------------------------------------------------------------------------
 
-/// Owns the current [`FrozenGraph`] snapshot and rebuilds it lazily when
-/// the live graph's epoch moves — the frozen half of the frozen/live
-/// split. Readers share snapshots via [`Arc`], so a rebuild never
-/// invalidates a walk already in flight.
+/// Owns the current [`FrozenGraph`] snapshot and keeps it at the live
+/// graph's topology epoch — the frozen half of the frozen/live split.
+///
+/// When the topology epoch has moved, [`snapshot`](Self::snapshot)
+/// refreshes the snapshot from what capture appended since (new nodes'
+/// rows, new edges' reverse slots, the coefficients whose conductance
+/// moved), and falls back to a full [`FrozenGraph::build`] only after a
+/// redaction or when a new edge starts at an older node. Readers share
+/// snapshots via [`Arc`]: a refresh mutates the snapshot in place when no
+/// reader still holds it, and otherwise works on a copy, so it never
+/// disturbs a walk already in flight.
 #[derive(Default)]
 pub struct FrozenHandle {
-    slot: Mutex<Option<Arc<FrozenGraph>>>,
+    slot: Mutex<Option<Current>>,
     builds: AtomicU64,
     last_build_us: AtomicU64,
+    full_builds: Arc<Counter>,
+}
+
+/// The handle's snapshot and the state its next refresh starts from.
+struct Current {
+    frozen: Arc<FrozenGraph>,
+    state: RefreshState,
 }
 
 impl std::fmt::Debug for FrozenHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrozenHandle")
             .field("builds", &self.builds())
+            .field("full_builds", &self.full_builds.get())
             .field("last_build_us", &self.last_build_us())
             .finish()
     }
@@ -1101,33 +1188,63 @@ impl FrozenHandle {
         Self::default()
     }
 
-    /// The current snapshot of `graph`: cached while the epoch matches,
-    /// rebuilt (and timed) when it does not.
+    /// An empty handle that counts its full builds on `counter`.
+    pub fn with_full_build_counter(counter: Arc<Counter>) -> Self {
+        FrozenHandle {
+            full_builds: counter,
+            ..Self::default()
+        }
+    }
+
+    /// The current snapshot of `graph`: shared while the topology epoch
+    /// matches, refreshed or rebuilt (and timed) when it does not.
     pub fn snapshot(&self, graph: &ProvenanceGraph) -> Arc<FrozenGraph> {
+        // The slot is emptied while an update runs, so a panic inside one
+        // leaves `None` behind (the next call rebuilds) and the guard is
+        // safe to recover from a poisoned lock.
         let mut slot = self
             .slot
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(f) = slot.as_ref() {
-            if f.epoch() == graph.epoch() {
-                return f.clone();
+        if let Some(cur) = slot.as_ref() {
+            if cur.frozen.epoch() == graph.topology_epoch() {
+                return cur.frozen.clone();
             }
         }
         let sw = ClockHandle::real().start();
-        let f = Arc::new(FrozenGraph::build(graph));
+        let cur = match slot.take() {
+            Some(mut cur) if cur.frozen.refreshable_to(graph) => {
+                // In place when the handle holds the only reference;
+                // otherwise readers keep the old snapshot and the refresh
+                // runs on a copy.
+                Arc::make_mut(&mut cur.frozen).refresh(graph, &mut cur.state);
+                cur
+            }
+            _ => {
+                let (frozen, state) = FrozenGraph::build_with_state(graph);
+                self.full_builds.inc();
+                Current {
+                    frozen: Arc::new(frozen),
+                    state,
+                }
+            }
+        };
         self.builds.fetch_add(1, Ordering::Relaxed);
         self.last_build_us
             .store(sw.elapsed().as_micros() as u64, Ordering::Relaxed);
-        *slot = Some(f.clone());
-        f
+        let frozen = cur.frozen.clone();
+        *slot = Some(cur);
+        frozen
     }
 
-    /// How many CSR rebuilds this handle has performed.
+    /// How many times this handle replaced its snapshot: full builds plus
+    /// refreshes.
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Wall time of the most recent rebuild, in microseconds.
+    /// Wall time of the most recent replacement (refresh or full build),
+    /// in microseconds.
     pub fn last_build_us(&self) -> u64 {
         self.last_build_us.load(Ordering::Relaxed)
     }
@@ -1396,11 +1513,78 @@ mod tests {
         assert_eq!(c.node_count(), 11);
     }
 
+    /// Node `i`'s row as `(target, kind, coefficient bits, no-automatic
+    /// coefficient bits)`: the layout-independent content of a snapshot.
+    fn row_bits(f: &FrozenGraph, i: usize) -> Vec<(u32, u8, u64, u64)> {
+        f.row(i)
+            .map(|s| {
+                (
+                    f.targets[s],
+                    f.kinds[s],
+                    f.pull_base[s].to_bits(),
+                    f.pull_base_noauto[s].to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// Asserts `a` and `b` agree in every accessor, every row, both
+    /// coefficient tables (bit for bit) and the key representatives, and
+    /// that PageRank at 1, 2 and 8 jobs and the expansion walk return
+    /// bit-identical output on both.
+    fn assert_same_snapshot(a: &FrozenGraph, b: &FrozenGraph) -> Result<(), TestCaseError> {
+        prop_assert_eq!(a.epoch(), b.epoch());
+        prop_assert_eq!(a.node_count(), b.node_count());
+        prop_assert_eq!(a.edge_count(), b.edge_count());
+        prop_assert_eq!(a.key_reps(), b.key_reps());
+        for kind in EdgeKind::ALL {
+            prop_assert_eq!(a.kind_count(kind), b.kind_count(kind));
+        }
+        for i in 0..a.node_count() {
+            let node = i as u32;
+            prop_assert_eq!(
+                a.out_edges_of(node).collect::<Vec<_>>(),
+                b.out_edges_of(node).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                a.in_edges_of(node).collect::<Vec<_>>(),
+                b.in_edges_of(node).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(row_bits(a, i), row_bits(b, i), "row {}", i);
+        }
+        let bits = |entries: &[(u32, f64)]| -> Vec<(u32, u64)> {
+            entries.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+        };
+        let seeds: Vec<(NodeId, f64)> = (0..a.node_count() as u32)
+            .step_by(3)
+            .map(|i| (NodeId::new(i), 1.0 / f64::from(i + 1)))
+            .collect();
+        for include_automatic_edges in [true, false] {
+            let config = PageRankConfig {
+                include_automatic_edges,
+                ..PageRankConfig::default()
+            };
+            let reference = personalized_pagerank_frozen(b, &seeds, &config, &Budget::new());
+            for jobs in [1, 2, 8] {
+                let budget = Budget::new().with_jobs(jobs);
+                let scores = personalized_pagerank_frozen(a, &seeds, &config, &budget);
+                prop_assert_eq!(scores.iterations, reference.iterations);
+                prop_assert_eq!(bits(&scores.entries), bits(&reference.entries));
+            }
+        }
+        let config = ExpansionConfig::default();
+        let ea = expand_frozen(a, &seeds, &config, &Budget::new());
+        let eb = expand_frozen(b, &seeds, &config, &Budget::new());
+        prop_assert_eq!(bits(&ea.entries), bits(&eb.entries));
+        prop_assert_eq!(ea.truncated, eb.truncated);
+        Ok(())
+    }
+
     proptest! {
         /// The CSR snapshot round-trips every node, edge, and kind filter
         /// of the live graph: adjacency rows match in content and order,
-        /// per-kind bitset counts match live kind counts, and the
-        /// automatic mask marks exactly the automatic-kind slots.
+        /// per-kind counts match live kind counts, and automatic slots
+        /// carry a zero coefficient in the no-automatic table.
         #[test]
         fn csr_round_trips_random_graphs(
             links in prop::collection::vec((1u8..30, 0u8..30, 0u8..15), 0..120),
@@ -1435,37 +1619,14 @@ mod tests {
             for kind in EdgeKind::ALL {
                 let live = g.edges().filter(|(_, e)| e.kind() == kind).count();
                 prop_assert_eq!(f.kind_count(kind), live);
-                prop_assert_eq!(f.kind_count_rev(kind), live);
             }
-            let mut slot = 0;
+            // Without automatic edges, automatic slots carry no mass.
             for id in g.node_ids() {
-                for (_, kind) in f.out_edges_of(id.index()) {
-                    prop_assert_eq!(f.fwd_slot_is_automatic(slot), kind.is_automatic());
-                    slot += 1;
+                for (s, (_, kind)) in f.row(id.as_usize()).zip(f.slots(f.row(id.as_usize()))) {
+                    if kind.is_automatic() {
+                        prop_assert_eq!(f.pull_base_noauto[s].to_bits(), 0.0f64.to_bits());
+                    }
                 }
-            }
-            // The merged pull row is the forward row followed by the
-            // reverse row, with the automatic mask carried across.
-            for id in g.node_ids() {
-                let i = id.index() as usize;
-                let merged: Vec<(u32, EdgeKind)> = f
-                    .out_edges_of(id.index())
-                    .chain(f.in_edges_of(id.index()))
-                    .collect();
-                let pull: Vec<(u32, EdgeKind)> = f
-                    .pull_range(i)
-                    .map(|s| {
-                        prop_assert_eq!(
-                            bit_get(&f.automatic_pull, s),
-                            EdgeKind::from_code(f.pull_kinds[s]).unwrap().is_automatic()
-                        );
-                        Ok((
-                            f.pull_targets[s],
-                            EdgeKind::from_code(f.pull_kinds[s]).unwrap(),
-                        ))
-                    })
-                    .collect::<Result<_, _>>()?;
-                prop_assert_eq!(merged, pull);
             }
         }
 
@@ -1495,6 +1656,123 @@ mod tests {
             for (a, b) in serial.entries.iter().zip(&parallel.entries) {
                 prop_assert_eq!(a.0, b.0);
                 prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
+            }
+        }
+
+        /// A handle refreshed after every step of a random capture-like
+        /// script equals a full build of the live graph, whether it
+        /// refreshes in place, refreshes a copy because an older snapshot
+        /// is still held, or falls back to a full build. It falls back only
+        /// after a redaction or an edge from a node that predates the
+        /// snapshot, and attribute-only mutations keep the very same
+        /// snapshot and every cached score.
+        #[test]
+        fn refreshed_snapshots_equal_full_builds(
+            script in prop::collection::vec((0u8..20, 0u8..64, 0u8..64, 0u8..16), 1..48),
+        ) {
+            let mut g = ProvenanceGraph::new();
+            for i in 0..4 {
+                g.add_node(Node::new(NodeKind::PageVisit, format!("k{i}"), t(i)));
+            }
+            g.add_edge(NodeId::new(1), NodeId::new(0), EdgeKind::Link, t(1)).unwrap();
+            let full_builds = Arc::new(Counter::default());
+            let handle = FrozenHandle::with_full_build_counter(full_builds.clone());
+            let cache = ScoreCache::new();
+            let mut current = handle.snapshot(&g);
+            let mut held: Vec<(Arc<FrozenGraph>, usize, u64)> = Vec::new();
+            let mut must_rebuild = false;
+            for (step, &(op, a, b, c)) in script.iter().enumerate() {
+                let n = g.node_count() as u32;
+                let snapshot_nodes = current.node_count() as u32;
+                let kind = EdgeKind::from_code(c % 15).unwrap_or(EdgeKind::Link);
+                let at = t(i64::from(n));
+                match op {
+                    // A new node, with up to three edges to older nodes.
+                    0..=7 => {
+                        let v = g.add_node(Node::new(
+                            NodeKind::PageVisit,
+                            format!("k{}", a % 8),
+                            at,
+                        ));
+                        for j in 0..u32::from(b % 4) {
+                            let dst = NodeId::new((u32::from(a) + 7 * j) % n);
+                            g.add_edge(v, dst, kind, at).unwrap();
+                        }
+                    }
+                    // A new version: the node plus its VersionOf edge.
+                    8..=10 => {
+                        g.add_version(NodeKind::PageVisit, &format!("v{}", a % 4), at);
+                    }
+                    // An edge from the newest node.
+                    11..=13 => {
+                        let src = n - 1;
+                        if src > 0 {
+                            must_rebuild |= src < snapshot_nodes;
+                            let dst = NodeId::new(u32::from(a) % src);
+                            g.add_edge(NodeId::new(src), dst, kind, at).unwrap();
+                        }
+                    }
+                    // Attribute-only mutation: same snapshot, cache hits.
+                    14..=16 if current.epoch() == g.topology_epoch() => {
+                        let key = CacheKey {
+                            epoch: current.epoch(),
+                            domain: CacheDomain::PageRank,
+                            fingerprint: u64::from(a),
+                        };
+                        cache.put(key, Arc::new(CachedScores::default()));
+                        let node = g.node_mut(NodeId::new(u32::from(a) % n)).unwrap();
+                        if b % 2 == 0 {
+                            node.attrs_mut().set("title", format!("t{c}"));
+                        } else {
+                            node.close_at(t(1_000));
+                        }
+                        let after = handle.snapshot(&g);
+                        prop_assert!(Arc::ptr_eq(&current, &after));
+                        let key = CacheKey { epoch: after.epoch(), ..key };
+                        prop_assert!(cache.get(&key).is_some());
+                    }
+                    14..=16 => {
+                        g.node_mut(NodeId::new(u32::from(a) % n))
+                            .unwrap()
+                            .close_at(t(1_000));
+                    }
+                    // Redaction: rewrites a key in place.
+                    17 => {
+                        must_rebuild = true;
+                        g.redact_node(NodeId::new(u32::from(a) % n), format!("[r{a}]"))
+                            .unwrap();
+                    }
+                    // An edge from an older node.
+                    _ => {
+                        let src = 1 + u32::from(a) % (n - 1);
+                        must_rebuild |= src < snapshot_nodes;
+                        let dst = NodeId::new(u32::from(b) % src);
+                        g.add_edge(NodeId::new(src), dst, kind, at).unwrap();
+                    }
+                }
+                // Sometimes batch several steps into one refresh, so one
+                // older row gains several reverse slots at once.
+                if b % 4 == 1 && step + 1 < script.len() {
+                    continue;
+                }
+                if b % 3 == 0 {
+                    held.push((current.clone(), current.node_count(), current.epoch()));
+                }
+                if c % 5 == 0 {
+                    held.clear();
+                }
+                let full_before = full_builds.get();
+                let topology_moved = current.epoch() != g.topology_epoch();
+                drop(current);
+                current = handle.snapshot(&g);
+                let rebuilt = full_builds.get() - full_before;
+                prop_assert_eq!(rebuilt, u64::from(topology_moved && must_rebuild));
+                must_rebuild = false;
+                assert_same_snapshot(&current, &FrozenGraph::build(&g))?;
+                for (old, nodes, epoch) in &held {
+                    prop_assert_eq!(old.node_count(), *nodes);
+                    prop_assert_eq!(old.epoch(), *epoch);
+                }
             }
         }
     }

@@ -63,10 +63,18 @@ pub struct ProvenanceGraph {
     /// the flag and reinstates full checking.
     monotone: bool,
     /// Monotonically increasing mutation counter. Every structural or
-    /// content mutation bumps it, so read-optimized snapshots
-    /// ([`crate::frozen::FrozenGraph`]) and epoch-keyed score caches can
-    /// detect staleness with a single integer compare.
+    /// content mutation bumps it, so a reader can tell whether anything at
+    /// all changed with a single integer compare.
     epoch: u64,
+    /// Bumped only by mutations a relevance walk can observe: node and
+    /// edge insertion, and redaction (which rewrites a node's key).
+    /// Read-optimized snapshots ([`crate::frozen::FrozenGraph`]) and the
+    /// score cache are keyed on it, so interval closes and attribute edits
+    /// leave both valid.
+    topology_epoch: u64,
+    /// The topology epoch of the last mutation that rewrote existing
+    /// topology in place instead of appending to it (redaction).
+    rewrite_epoch: u64,
 }
 
 impl Default for ProvenanceGraph {
@@ -91,16 +99,36 @@ impl ProvenanceGraph {
             latest_version: HashMap::new(),
             monotone: true,
             epoch: 0,
+            topology_epoch: 0,
+            rewrite_epoch: 0,
         }
     }
 
     /// The graph's mutation epoch: bumped on every mutation (node or edge
     /// insertion, mutable node borrow, redaction). Two reads of the same
     /// graph with equal epochs are guaranteed to have observed identical
-    /// contents, which is what lets [`crate::frozen::FrozenGraph`]
-    /// snapshots and cached query scores be reused without re-validation.
+    /// contents. Snapshots and cached scores, which depend on topology
+    /// only, key on [`topology_epoch`](Self::topology_epoch) instead.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The graph's topology epoch: bumped by node and edge insertion and
+    /// by redaction, but not by [`node_mut`](Self::node_mut). Two reads
+    /// with equal topology epochs saw the same nodes, edges and keys;
+    /// only intervals and attributes may differ between them.
+    pub fn topology_epoch(&self) -> u64 {
+        self.topology_epoch
+    }
+
+    /// The topology epoch of the most recent in-place rewrite (a
+    /// redaction). Everything after it up to
+    /// [`topology_epoch`](Self::topology_epoch) was appended: new nodes
+    /// and new edges. A snapshot taken at a topology epoch at or after
+    /// this one can therefore be brought up to date from the appended
+    /// tail alone.
+    pub(crate) fn rewrite_epoch(&self) -> u64 {
+        self.rewrite_epoch
     }
 
     /// Number of nodes.
@@ -124,6 +152,7 @@ impl ProvenanceGraph {
     /// graph tracks it as the latest version of its `(kind, key)` pair.
     pub fn add_node(&mut self, node: Node) -> NodeId {
         self.epoch += 1;
+        self.topology_epoch += 1;
         let id = NodeId::new(self.nodes.len() as u32);
         if node.kind().is_versioned() {
             self.latest_version
@@ -172,14 +201,17 @@ impl ProvenanceGraph {
             .ok_or(GraphError::UnknownNode(id))
     }
 
-    /// Mutably borrows a node.
+    /// Mutably borrows a node, to close its interval or edit its
+    /// attributes. Bumps [`epoch`](Self::epoch) but not
+    /// [`topology_epoch`](Self::topology_epoch): nothing reachable through
+    /// the borrow changes the graph's nodes, edges or keys.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::UnknownNode`] if `id` is out of range.
     pub fn node_mut(&mut self, id: NodeId) -> Result<&mut Node, GraphError> {
         // The borrow may be used to write (close intervals, edit attrs);
-        // assume it is and invalidate snapshots conservatively.
+        // assume it is.
         self.epoch += 1;
         self.nodes
             .get_mut(id.as_usize())
@@ -250,6 +282,7 @@ impl ProvenanceGraph {
 
     fn push_edge(&mut self, edge: Edge) -> EdgeId {
         self.epoch += 1;
+        self.topology_epoch += 1;
         let id = EdgeId::new(self.edges.len() as u32);
         self.out_edges[edge.src().as_usize()].push(id);
         self.in_edges[edge.dst().as_usize()].push(id);
@@ -280,6 +313,8 @@ impl ProvenanceGraph {
         replacement: impl Into<String>,
     ) -> Result<String, GraphError> {
         self.epoch += 1;
+        self.topology_epoch += 1;
+        self.rewrite_epoch = self.topology_epoch;
         let node = self
             .nodes
             .get_mut(id.as_usize())
@@ -680,6 +715,27 @@ mod tests {
         let _ = g.node(a);
         let _ = g.out_degree(b);
         assert_eq!(g.epoch(), e4);
+    }
+
+    #[test]
+    fn topology_epoch_moves_on_appends_and_redaction_only() {
+        let mut g = ProvenanceGraph::new();
+        let a = visit(&mut g, "a", 1);
+        let b = visit(&mut g, "b", 2);
+        g.add_edge(b, a, EdgeKind::Link, t(2)).unwrap();
+        let appended = g.topology_epoch();
+        assert_eq!(appended, 3, "two nodes and an edge");
+        g.node_mut(a).unwrap().close_at(t(9));
+        g.node_mut(b).unwrap().attrs_mut().set("title", "B");
+        assert_eq!(
+            g.topology_epoch(),
+            appended,
+            "attribute edits are not topology"
+        );
+        assert_eq!(g.rewrite_epoch(), 0, "nothing rewritten yet");
+        g.redact_node(a, "[x]").unwrap();
+        assert!(g.topology_epoch() > appended);
+        assert_eq!(g.rewrite_epoch(), g.topology_epoch());
     }
 
     #[test]

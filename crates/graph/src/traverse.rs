@@ -296,7 +296,7 @@ pub fn first_ancestor_where(
 /// profiles report — how many nodes the BFS visited and whether the budget
 /// cut it short (in which case a matching ancestor may exist beyond the
 /// truncation point).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AncestorSearch {
     /// Path from the start to the nearest matching proper ancestor, if any
     /// was reached within the budget.

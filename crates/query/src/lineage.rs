@@ -71,11 +71,11 @@ pub fn find_download(browser: &ProvenanceBrowser, path: &str) -> Option<NodeId> 
 /// rows replaces the live graph's per-hop edge-arena lookups, so the
 /// steady-state lineage query stops pointer-chasing.
 ///
-/// Returns `None` — caller must fall back to the live traversal — when
-/// the snapshot is stale (`frozen.epoch() != graph.epoch()`) or `start`
-/// postdates the snapshot. The live `graph` is only consulted to resolve
-/// path [`bp_graph::EdgeId`]s after the walk, which is sound because a
-/// matching epoch means both views are the same graph.
+/// `frozen` must be `graph`'s snapshot at its current topology epoch, as
+/// [`ProvenanceBrowser::frozen`] returns it: the live `graph` is consulted
+/// after the walk to resolve path [`bp_graph::EdgeId`]s, which is sound
+/// because both views then hold the same nodes and edges. Returns `None`
+/// when `start` is not a node of the snapshot.
 pub fn frozen_ancestor_search(
     graph: &ProvenanceGraph,
     frozen: &FrozenGraph,
@@ -83,7 +83,7 @@ pub fn frozen_ancestor_search(
     mut pred: impl FnMut(NodeId) -> bool,
     budget: &Budget,
 ) -> Option<AncestorSearch> {
-    if frozen.epoch() != graph.epoch() || start.as_usize() >= frozen.node_count() {
+    if start.as_usize() >= frozen.node_count() {
         return None;
     }
     let clock = budget.deadline().map(|d| {
@@ -159,8 +159,8 @@ pub fn frozen_ancestor_search(
                 });
             match eid {
                 Some(eid) => edges.push(eid),
-                // Epochs matched, so every discovered hop exists live;
-                // stop rebuilding rather than abort.
+                // Both views hold the same edges, so every discovered hop
+                // exists live; stop rebuilding rather than abort.
                 None => break,
             }
             nodes.push(NodeId::new(p));
@@ -181,9 +181,9 @@ pub fn frozen_ancestor_search(
 /// §2.4's path query: the nearest causal ancestor of `download` whose URL
 /// the user has visited at least `recognizable_visits` times.
 ///
-/// The walk runs over the browser's [`FrozenGraph`] CSR snapshot when one
-/// is current, falling back to the live-graph traversal otherwise; both
-/// produce identical answers (see [`frozen_ancestor_search`]).
+/// The walk runs over the browser's [`FrozenGraph`] CSR snapshot, which
+/// [`ProvenanceBrowser::frozen`] brings up to date within this borrow
+/// (see [`frozen_ancestor_search`]).
 ///
 /// Returns `None` when nothing in the lineage clears the bar within the
 /// budget — the honest answer for a download that arrived out of nowhere.
@@ -212,16 +212,9 @@ pub fn first_recognizable_ancestor(
                     && browser.visit_count(n.key()) >= config.recognizable_visits
             })
         };
-        let search =
-            match frozen_ancestor_search(graph, &frozen, download, recognizable, &config.budget) {
-                Some(search) => search,
-                None => traverse::first_ancestor_where_observed(
-                    graph,
-                    download,
-                    recognizable,
-                    &config.budget,
-                ),
-            };
+        // A download id outside the graph has no ancestors.
+        let search = frozen_ancestor_search(graph, &frozen, download, recognizable, &config.budget)
+            .unwrap_or_default();
         pstage.touched(search.nodes_touched, search.edges_touched);
         pstage.rows(1, usize::from(search.path.is_some()));
         if search.truncated {
@@ -505,11 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn stale_snapshot_falls_back_to_the_live_walk() {
-        let (mut tb, path) = driveby("stale");
+    fn ingest_refreshes_the_snapshot_the_entry_point_walks() {
+        let (mut tb, path) = driveby("refresh");
         let dl = find_download(&tb.browser, &path).unwrap();
-        let frozen = tb.browser.frozen();
-        // Mutate after the snapshot: its epoch is now behind the graph's.
+        let before = tb.browser.frozen();
+        let (updates, _) = tb.browser.frozen_stats();
+        // Capture appends after the snapshot was taken.
         tb.browser
             .ingest(&BrowserEvent::navigate(
                 t(20),
@@ -520,16 +514,16 @@ mod tests {
             ))
             .unwrap();
         let graph = tb.browser.graph();
-        assert_ne!(frozen.epoch(), graph.epoch());
-        assert!(
-            frozen_ancestor_search(graph, &frozen, dl, |_| true, &Budget::new()).is_none(),
-            "stale epoch must refuse, signalling live fallback"
-        );
-        // The query entry point still answers correctly through the
-        // rebuilt-or-live path.
+        assert_ne!(before.epoch(), graph.topology_epoch());
+        // The entry point brings the snapshot up to date itself and
+        // answers from it.
         let answer =
             first_recognizable_ancestor(&tb.browser, dl, &LineageConfig::default()).unwrap();
         assert_eq!(answer.url, "http://forum/");
+        assert_eq!(tb.browser.frozen_stats().0, updates + 1, "one refresh");
+        let after = tb.browser.frozen();
+        assert_eq!(after.epoch(), graph.topology_epoch());
+        assert_eq!(after.node_count(), graph.node_count());
     }
 
     #[test]

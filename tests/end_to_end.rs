@@ -42,6 +42,21 @@ fn week_browser(tag: &str, seed: u64) -> (TempDir, ProvenanceBrowser) {
 }
 
 #[test]
+fn two_ingests_of_one_stream_capture_identical_edges() {
+    let edges = |browser: &ProvenanceBrowser| -> Vec<_> {
+        browser
+            .graph()
+            .edges()
+            .map(|(_, e)| (e.src(), e.dst(), e.kind(), e.at()))
+            .collect()
+    };
+    let (_a, first) = week_browser("determinism-a", 11);
+    let (_b, second) = week_browser("determinism-b", 11);
+    assert_eq!(first.graph().node_count(), second.graph().node_count());
+    assert_eq!(edges(&first), edges(&second));
+}
+
+#[test]
 fn full_pipeline_produces_a_healthy_graph() {
     let (_dir, browser) = week_browser("healthy", 11);
     let s = stats(browser.graph());
